@@ -21,7 +21,9 @@
 #      from the binaries it drives;
 #   7. the service.* AND frontdoor.* metric catalogs in docs/service.md are
 #      bidirectional against the emitted literals, and docs/operations.md
-#      (the fleet runbook) exists.
+#      (the fleet runbook) exists;
+#   8. the quick-gate case list in docs/benchmarks.md names exactly the
+#      cases of bench/baselines/quick_gate.json.
 #
 # Wired into ctest as the `docs` label: ctest -L docs
 
@@ -267,6 +269,34 @@ for prefix in $(printf '%s\n' "$emitted_names" |
   if ! grep -qF "$prefix." "$root/docs/observability.md"; then
     echo "FAIL: metric prefix '$prefix.*' is emitted by src but missing" \
          "from docs/observability.md's naming table"
+    fail=1
+  fi
+done
+
+# The gate-case list is delimited by markers that may span lines, so the
+# whole doc is joined before extraction.
+gate_src=$(grep -oE '"[a-z0-9_]+":\{"wall_ms"' \
+             "$root/bench/baselines/quick_gate.json" |
+             grep -oE '^"[a-z0-9_]+"' | tr -d '"' | sort -u)
+gate_doc=$(tr '\n' ' ' < "$root/docs/benchmarks.md" |
+             sed -n 's/.*<!-- gate-cases-begin -->\(.*\)<!-- gate-cases-end -->.*/\1/p' |
+             grep -oE '`[a-z0-9_]+`' | tr -d '`' | sort -u)
+if [ -z "$gate_src" ] || [ -z "$gate_doc" ]; then
+  echo "FAIL: no quick-gate case list found (bench/baselines/quick_gate.json" \
+       "or the gate-cases-begin/end markers in docs/benchmarks.md)"
+  fail=1
+fi
+for name in $gate_src; do
+  if ! printf '%s\n' "$gate_doc" | grep -qxF "$name"; then
+    echo "FAIL: quick-gate case '$name' (bench/baselines/quick_gate.json)" \
+         "is missing from the gate-case list in docs/benchmarks.md"
+    fail=1
+  fi
+done
+for name in $gate_doc; do
+  if ! printf '%s\n' "$gate_src" | grep -qxF "$name"; then
+    echo "FAIL: docs/benchmarks.md lists gate case '$name', which" \
+         "bench/baselines/quick_gate.json does not pin"
     fail=1
   fi
 done

@@ -27,7 +27,6 @@
 #include "soc/builtin.hpp"
 #include "soc/soc_format.hpp"
 #include "tam/architect.hpp"
-#include "tam/timing.hpp"
 
 namespace soctest {
 
@@ -156,9 +155,7 @@ CliResult run_design(const CliOptions& options,
         schedule.makespan = std::max(schedule.makespan, p.end);
       }
     } else {
-      const int max_width = *std::max_element(design.bus_widths.begin(),
-                                              design.bus_widths.end());
-      const TestTimeTable& table = cached_test_time_table(soc, max_width);
+      const TestTimeTable& table = report_time_table(soc, request, design);
       const TamProblem problem = make_tam_problem(
           soc, table, design.bus_widths, nullptr, -1,
           options.idle_insertion ? -1.0 : options.p_max, options.power_mode);

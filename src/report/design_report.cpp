@@ -1,9 +1,7 @@
 #include "report/design_report.hpp"
 
-#include <algorithm>
-
 #include "report/json.hpp"
-#include "wrapper/test_time_table.hpp"
+#include "tam/architect.hpp"
 #include "wrapper/wrapper.hpp"
 
 namespace soctest {
@@ -81,11 +79,7 @@ std::string design_report_json(const Soc& soc, const DesignRequest& request,
   } else {
     w.key("formulation").value("fixed-bus");
     w.key("buses").begin_array();
-    const int max_width = result.bus_widths.empty()
-                              ? 1
-                              : *std::max_element(result.bus_widths.begin(),
-                                                  result.bus_widths.end());
-    const TestTimeTable table(soc, max_width);
+    const TestTimeTable& table = report_time_table(soc, request, result);
     for (std::size_t j = 0; j < result.bus_widths.size(); ++j) {
       w.begin_object();
       w.key("index").value(j);

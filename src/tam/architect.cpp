@@ -292,6 +292,14 @@ DesignResult design_architecture(const Soc& soc, const DesignRequest& request) {
   return result;
 }
 
+const TestTimeTable& report_time_table(const Soc& soc,
+                                       const DesignRequest& request,
+                                       const DesignResult& result) {
+  int width = std::max(1, request.total_width);
+  for (int w : result.bus_widths) width = std::max(width, w);
+  return cached_test_time_table(soc, width);
+}
+
 std::string describe_design(const Soc& soc, const DesignRequest& request,
                             const DesignResult& result) {
   std::ostringstream out;
@@ -325,6 +333,7 @@ std::string describe_design(const Soc& soc, const DesignRequest& request,
     }
     return out.str();
   }
+  const TestTimeTable& table = report_time_table(soc, request, result);
   for (std::size_t j = 0; j < result.bus_widths.size(); ++j) {
     out << "  bus " << j << " (width " << result.bus_widths[j] << "):";
     Cycles load = 0;
@@ -333,8 +342,6 @@ std::string describe_design(const Soc& soc, const DesignRequest& request,
         out << " " << soc.core(i).name;
       }
     }
-    // Report the bus load via a second pass with the test time table.
-    const TestTimeTable& table = cached_test_time_table(soc, result.bus_widths[j]);
     for (std::size_t i = 0; i < soc.num_cores(); ++i) {
       if (result.assignment.core_to_bus[i] == static_cast<int>(j)) {
         load += table.time(i, result.bus_widths[j]);

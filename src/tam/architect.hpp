@@ -96,6 +96,15 @@ struct DesignResult {
 /// (unconnectable core, over-budget core power).
 DesignResult design_architecture(const Soc& soc, const DesignRequest& request);
 
+/// The memoized test-time table that reports read per-bus times from:
+/// cached_test_time_table(soc, max(request.total_width, widest bus)).
+/// A cell does not depend on its table's max_width, so one table serves
+/// every bus, and a caller that already built the full-width table gets a
+/// memo hit.
+const TestTimeTable& report_time_table(const Soc& soc,
+                                       const DesignRequest& request,
+                                       const DesignResult& result);
+
 /// Multi-line human-readable report of a design (architecture, per-bus core
 /// lists with test times, wirelength, constraint recap).
 std::string describe_design(const Soc& soc, const DesignRequest& request,

@@ -134,8 +134,14 @@ PortfolioResult solve_portfolio(const TamProblem& problem,
     note_winner();
     return out;
   }
-  if (exact.proved_optimal && !greedy.feasible && !sa.feasible) {
-    out.best = exact;  // proven infeasible
+  if (exact.proved_optimal) {
+    // A completed exact solve with no assignment proves that nothing
+    // reaches its warm-start bound (in a width search, the incumbent of
+    // another partition), or that the problem is infeasible. The race
+    // returns that proof as serial solve_exact does: a worse racer's
+    // incumbent, stamped with the stop reason of the SA racer this race
+    // cancelled itself, would erase it.
+    out.best = exact;
     out.winner = "exact";
     out.certificate = certify_infeasible(/*proven=*/true, StopReason::kNone);
     note_winner();

@@ -45,9 +45,12 @@ struct PortfolioResult {
   /// True when the SA racer was cancelled because the exact solver proved
   /// optimality first.
   bool sa_cancelled = false;
-  /// Quality certificate for `best`: optimal when the exact racer completed,
-  /// feasible_bounded with a gap against the problem's combinatorial lower
-  /// bound when the solve was interrupted, error when every racer faulted.
+  /// Quality certificate for `best`: optimal when the exact racer completed
+  /// with an assignment, proven infeasible when it completed without one
+  /// (nothing reaches `initial_upper_bound`, as serial solve_exact reports
+  /// it), feasible_bounded with a gap against the problem's combinatorial
+  /// lower bound when the solve was interrupted, error when every racer
+  /// faulted.
   SolveCertificate certificate;
 };
 

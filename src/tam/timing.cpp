@@ -5,6 +5,8 @@
 #include <stdexcept>
 #include <string>
 
+#include "obs/obs.hpp"
+
 namespace soctest {
 
 TestTimeTableMemo& test_time_table_memo() {
@@ -16,12 +18,23 @@ TestTimeTableMemo& test_time_table_memo() {
 
 const TestTimeTable& cached_test_time_table(const Soc& soc, int max_width,
                                             PartitionHeuristic heuristic) {
+  // One span per lookup, hit or miss: a span on builds alone would make a
+  // run's profile depend on what earlier runs left in the process-wide memo.
+  obs::Span span("wrapper.table.lookup");
   std::ostringstream key;
   key << max_width << '|' << static_cast<int>(heuristic) << '|'
       << soc_table_fingerprint(soc);
-  return *test_time_table_memo().get_or_create(key.str(), [&] {
+  bool built = false;
+  const TestTimeTable& table = *test_time_table_memo().get_or_create(key.str(), [&] {
+    built = true;
     return TestTimeTable(soc, max_width, heuristic);
   });
+  if (span.active()) {
+    span.arg({"cores", soc.num_cores()});
+    span.arg({"max_width", max_width});
+    span.arg({"built", built});
+  }
+  return table;
 }
 
 std::vector<double> bus_clock_periods_ns(const BusPlan& plan,

@@ -14,6 +14,12 @@ namespace soctest {
 /// heuristic: a width-w TAM can always leave wires unused, so the effective
 /// test time at width w is min over w' <= w of the heuristic time — this also
 /// irons out any non-monotonicity of the packing heuristic.
+///
+/// Cells are computed by a time-only kernel that derives max scan-in and
+/// max scan-out without materializing wrapper chains; each cell equals
+/// core_test_time(core, w, heuristic) before the envelope is taken. The
+/// envelope at width w reads only widths 1..w, so a cell does not depend on
+/// max_width: TestTimeTable(soc, W).time(i, w) == TestTimeTable(soc, w).time(i, w).
 class TestTimeTable {
  public:
   /// Builds the table for every core of `soc`.
@@ -22,13 +28,10 @@ class TestTimeTable {
                     PartitionHeuristic::kBestFitDecreasing);
 
   int max_width() const { return max_width_; }
-  std::size_t num_cores() const { return times_.size(); }
+  std::size_t num_cores() const { return num_cores_; }
 
   /// Effective (monotone) test time of core `i` at width `w` (1..max_width).
   Cycles time(std::size_t core, int width) const;
-
-  /// Raw heuristic time before the monotone envelope.
-  Cycles raw_time(std::size_t core, int width) const;
 
   /// Width actually used to achieve time(core, width) — the smallest
   /// w' <= width attaining the envelope (Pareto-optimal width).
@@ -43,10 +46,12 @@ class TestTimeTable {
   Cycles total_time(int width) const;
 
  private:
+  /// Index of cell (core, width) in times_; throws std::out_of_range.
+  std::size_t cell(std::size_t core, int width) const;
+
   int max_width_;
-  std::vector<std::vector<Cycles>> raw_;       // [core][width-1]
-  std::vector<std::vector<Cycles>> times_;     // monotone envelope
-  std::vector<std::vector<int>> eff_width_;    // argmin width
+  std::size_t num_cores_;
+  std::vector<Cycles> times_;  ///< monotone envelope, [core * max_width + w-1]
 };
 
 /// Fingerprint of everything TestTimeTable construction reads from a SOC:

@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 #include <fstream>
 #include <sstream>
+#include <string>
+#include <vector>
 
 #include "cli/options.hpp"
 #include "cli/run.hpp"
@@ -186,6 +188,41 @@ TEST(CliRun, JsonOutputIsValid) {
   EXPECT_NE(r.output.find("\"test_time_cycles\""), std::string::npos);
   // The text report must not be mixed in.
   EXPECT_EQ(r.output.find("system test time"), std::string::npos);
+}
+
+// The text report and the JSON report read their per-bus times from the
+// same table, so they must print the same bus loads.
+TEST(CliRun, TextAndJsonBusLoadsAgree) {
+  const std::vector<std::vector<std::string>> cases = {
+      {"--soc", "soc1", "--buses", "3", "--width", "40"},
+      {"--soc", "soc3", "--widths", "16,8,8"},
+      {"--soc", "soc2", "--widths", "40,4", "--width", "16"},
+  };
+  for (const auto& args : cases) {
+    const CliResult text = run_cli(parse_cli(args));
+    auto json_args = args;
+    json_args.push_back("--json");
+    const CliResult json = run_cli(parse_cli(json_args));
+    ASSERT_EQ(text.exit_code, 0) << text.output;
+    ASSERT_EQ(json.exit_code, 0) << json.output;
+
+    std::vector<long long> text_loads;
+    const std::string tag = "[load ";
+    for (std::size_t at = text.output.find(tag); at != std::string::npos;
+         at = text.output.find(tag, at + 1)) {
+      text_loads.push_back(std::stoll(text.output.substr(at + tag.size())));
+    }
+    const auto doc = parse_json(trim_copy(json.output));
+    ASSERT_TRUE(doc) << json.output;
+    const JsonValue* buses = doc->find("buses");
+    ASSERT_NE(buses, nullptr) << json.output;
+    std::vector<long long> json_loads;
+    for (const JsonValue& bus : buses->items) {
+      json_loads.push_back(static_cast<long long>(bus.number_or("load", -1)));
+    }
+    EXPECT_FALSE(text_loads.empty()) << text.output;
+    EXPECT_EQ(text_loads, json_loads) << text.output << json.output;
+  }
 }
 
 TEST(CliRun, SvgOutputWritesWellFormedFile) {

@@ -10,7 +10,10 @@
 #include "pack/skyline.hpp"
 #include "report/json.hpp"
 #include "soc/builtin.hpp"
+#include "soc/generator.hpp"
 #include "soc/soc_format.hpp"
+#include "tam/timing.hpp"
+#include "tam/width_partition.hpp"
 
 namespace soctest {
 namespace {
@@ -141,6 +144,65 @@ TEST_P(FuzzSeeds, PackSolversSatisfyTheOracleOnRandomProblems) {
     }
     EXPECT_LE(repaired.makespan, sky.makespan);
     EXPECT_LE(exact.makespan, sky.makespan);  // warm-started from it
+  }
+}
+
+/// Certificate strength: optimal > feasible_bounded > feasible >
+/// infeasible > error.
+int certificate_rank(const SolveCertificate& c) {
+  switch (c.status) {
+    case SolveStatus::kOptimal: return 4;
+    case SolveStatus::kFeasibleBounded: return 3;
+    case SolveStatus::kFeasible: return 2;
+    case SolveStatus::kInfeasible: return 1;
+    case SolveStatus::kError: return 0;
+  }
+  return 0;
+}
+
+// The portfolio races greedy, SA and exact inside every partition of the
+// width search, so its answer is never worse than any member's own width
+// search, and its certificate never weaker than what exact alone proves.
+TEST_P(FuzzSeeds, PortfolioNeverWeakerThanItsMembers) {
+  Rng rng(GetParam() + 17000);
+  for (int trial = 0; trial < 4; ++trial) {
+    SocGeneratorOptions gen;
+    gen.num_cores = static_cast<int>(rng.uniform_int(4, 9));
+    gen.soft_core_fraction = 0.3;
+    gen.place = false;
+    const Soc soc = generate_soc(gen, rng);
+    const int buses = static_cast<int>(rng.uniform_int(2, 3));
+    const int width = static_cast<int>(rng.uniform_int(8, 32));
+    const TestTimeTable& table =
+        cached_test_time_table(soc, width - (buses - 1));
+    const auto search = [&](InnerSolver solver) {
+      WidthPartitionOptions options;
+      options.solver = solver;
+      options.threads = 2;
+      return optimize_widths(soc, table, buses, width, nullptr, -1, -1.0,
+                             options);
+    };
+    const ArchitectureResult portfolio = search(InnerSolver::kPortfolio);
+    const ArchitectureResult exact = search(InnerSolver::kExact);
+    const std::string where = "seed " + std::to_string(GetParam()) +
+                              " trial " + std::to_string(trial);
+    ASSERT_TRUE(portfolio.feasible) << where;
+    for (InnerSolver member :
+         {InnerSolver::kGreedy, InnerSolver::kSa, InnerSolver::kExact}) {
+      const ArchitectureResult r =
+          member == InnerSolver::kExact ? exact : search(member);
+      ASSERT_TRUE(r.feasible) << where;
+      EXPECT_LE(portfolio.assignment.makespan, r.assignment.makespan)
+          << where << " member " << inner_solver_name(member);
+    }
+    EXPECT_GE(certificate_rank(portfolio.certificate),
+              certificate_rank(exact.certificate))
+        << where << ": portfolio " << portfolio.certificate.to_string()
+        << " vs exact " << exact.certificate.to_string();
+    if (portfolio.certificate.status == SolveStatus::kFeasibleBounded &&
+        exact.certificate.status == SolveStatus::kFeasibleBounded) {
+      EXPECT_LE(portfolio.certificate.gap(), exact.certificate.gap()) << where;
+    }
   }
 }
 

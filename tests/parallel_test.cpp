@@ -14,6 +14,7 @@
 #include "common/thread_pool.hpp"
 #include "ilp/branch_and_bound.hpp"
 #include "soc/builtin.hpp"
+#include "tam/architect.hpp"
 #include "tam/exact_solver.hpp"
 #include "tam/heuristics.hpp"
 #include "tam/ilp_solver.hpp"
@@ -298,6 +299,65 @@ TEST(PortfolioTest, FallsBackToHeuristicIncumbentWhenExactAborts) {
   const TamSolveResult greedy = solve_greedy_lpt(problem);
   ASSERT_TRUE(greedy.feasible);
   EXPECT_LE(portfolio.best.assignment.makespan, greedy.assignment.makespan);
+}
+
+// Inside a width search the exact racer is warm-started from the
+// cross-partition incumbent and often proves that a partition cannot reach
+// it. That proof must survive the race: the portfolio's certificate on a
+// whole width search is as strong as serial exact's. (soc1 B=2 W=32 runs
+// without the formulation race: there the packing wins with a smaller T
+// and its own, bounded certificate.)
+TEST(PortfolioTest, WidthSearchKeepsTheExactProof) {
+  struct Cell {
+    Soc soc;
+    int buses;
+    int width;
+    bool pack_race;
+  };
+  for (const Cell& cell :
+       {Cell{builtin_soc3(), 3, 48, true}, Cell{builtin_soc1(), 2, 32, false}}) {
+    DesignRequest request;
+    request.num_buses = cell.buses;
+    request.total_width = cell.width;
+    request.threads = 2;
+    request.pack_race = cell.pack_race;
+    request.solver = InnerSolver::kExact;
+    const DesignResult exact = design_architecture(cell.soc, request);
+    request.solver = InnerSolver::kPortfolio;
+    const DesignResult portfolio = design_architecture(cell.soc, request);
+    ASSERT_EQ(exact.certificate.status, SolveStatus::kOptimal) << cell.soc.name();
+    EXPECT_EQ(portfolio.certificate.status, SolveStatus::kOptimal)
+        << cell.soc.name() << ": " << portfolio.certificate.to_string();
+    EXPECT_EQ(portfolio.certificate.stop, StopReason::kNone) << cell.soc.name();
+    EXPECT_TRUE(portfolio.proved_optimal) << cell.soc.name();
+    EXPECT_EQ(portfolio.assignment.makespan, exact.assignment.makespan)
+        << cell.soc.name();
+  }
+}
+
+TEST(PortfolioTest, CarriesAnExactProofThatNothingBeatsTheBound) {
+  const Soc soc = builtin_soc1();
+  const TestTimeTable table(soc, 16);
+  const TamProblem problem = make_tam_problem(soc, table, {16, 8, 8});
+  const TamSolveResult cold = solve_exact(problem);
+  ASSERT_TRUE(cold.proved_optimal);
+  // A bound below the optimum: serial exact proves nothing reaches it.
+  ExactSolverOptions bounded;
+  bounded.initial_upper_bound = cold.assignment.makespan - 1;
+  const TamSolveResult serial = solve_exact(problem, bounded);
+  ASSERT_FALSE(serial.feasible);
+  ASSERT_TRUE(serial.proved_optimal);
+
+  PortfolioOptions options;
+  options.initial_upper_bound = bounded.initial_upper_bound;
+  options.sa.iterations = 20'000'000;  // still running when exact finishes
+  const PortfolioResult portfolio = solve_portfolio(problem, options);
+  EXPECT_EQ(portfolio.winner, "exact");
+  EXPECT_FALSE(portfolio.best.feasible);
+  EXPECT_TRUE(portfolio.best.proved_optimal);
+  EXPECT_EQ(portfolio.best.stop, StopReason::kNone);
+  EXPECT_EQ(portfolio.certificate.status, SolveStatus::kInfeasible);
+  EXPECT_EQ(portfolio.certificate.stop, StopReason::kNone);
 }
 
 // --- Shared incumbent / cancellation in the LP branch & bound ------------

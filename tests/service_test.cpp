@@ -289,6 +289,25 @@ TEST(ServiceCache, HitReturnsIdenticalCertificateToColdSolve) {
   }
 }
 
+// The service hands every solve a cancellation token, which routes exact
+// width searches through the portfolio; the portfolio must keep the exact
+// proof so the answer is optimal with no stop reason, hence cacheable.
+TEST(ServiceCache, ExactWidthSearchIsCachedOnSecondSend) {
+  SolveService service(serial_config());
+  const std::string line = req(
+      "\"id\":\"ws\",\"soc\":\"soc1\",\"buses\":2,\"width\":32,"
+      "\"solver\":\"exact\"");
+  const auto cold_doc = parse_json(roundtrip(service, line));
+  const auto warm_doc = parse_json(roundtrip(service, line));
+  ASSERT_TRUE(cold_doc && warm_doc);
+  EXPECT_EQ(cold_doc->string_or("status", "?"), "optimal");
+  EXPECT_EQ(cold_doc->string_or("stop", "?"), "none");
+  EXPECT_FALSE(cold_doc->find("cached")->boolean);
+  EXPECT_TRUE(warm_doc->find("cached")->boolean);
+  EXPECT_EQ(service.cache_stats().hits, 1);
+  EXPECT_EQ(cold_doc->number_or("t_cycles", -2), warm_doc->number_or("t_cycles", -3));
+}
+
 TEST(ServiceCache, ShardedLruEvictsLeastRecentlyUsed) {
   ShardedLruCache<int> cache(/*capacity=*/2, /*num_shards=*/1);
   cache.put("a", std::make_shared<const int>(1));

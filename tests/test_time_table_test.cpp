@@ -1,6 +1,11 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <vector>
+
+#include "common/rng.hpp"
 #include "soc/builtin.hpp"
+#include "soc/generator.hpp"
 #include "wrapper/test_time_table.hpp"
 
 namespace soctest {
@@ -30,7 +35,7 @@ TEST(TestTimeTable, EnvelopeNeverAboveRaw) {
   const TestTimeTable table(soc, 48);
   for (std::size_t i = 0; i < soc.num_cores(); ++i) {
     for (int w = 1; w <= 48; ++w) {
-      EXPECT_LE(table.time(i, w), table.raw_time(i, w));
+      EXPECT_LE(table.time(i, w), core_test_time(soc.core(i), w));
     }
   }
 }
@@ -43,7 +48,7 @@ TEST(TestTimeTable, EffectiveWidthAchievesEnvelope) {
       const int ew = table.effective_width(i, w);
       EXPECT_LE(ew, w);
       EXPECT_GE(ew, 1);
-      EXPECT_EQ(table.raw_time(i, ew), table.time(i, w));
+      EXPECT_EQ(core_test_time(soc.core(i), ew), table.time(i, w));
     }
   }
 }
@@ -88,6 +93,76 @@ TEST(TestTimeTable, BigCoresBenefitFromWidth) {
   const TestTimeTable table(soc, 32);
   const auto idx = *soc.find_core("s38417");
   EXPECT_LT(table.time(idx, 32) * 10, table.time(idx, 1));
+}
+
+/// soc1-soc4 plus `count` seeded generated SOCs that mix hard, soft and
+/// combinational cores, with bidirectional terminals on about a third of
+/// the cores.
+std::vector<Soc> kernel_test_socs(int count) {
+  std::vector<Soc> socs = {builtin_soc1(), builtin_soc2(), builtin_soc3(),
+                           builtin_soc4()};
+  Rng rng(0x7ab1e);
+  for (int k = 0; k < count; ++k) {
+    SocGeneratorOptions gen;
+    gen.num_cores = static_cast<int>(rng.uniform_int(2, 8));
+    gen.combinational_fraction = 0.2;
+    gen.soft_core_fraction = 0.4;
+    gen.max_chains = static_cast<int>(rng.uniform_int(1, 48));
+    gen.max_chain_length = static_cast<int>(rng.uniform_int(8, 400));
+    gen.place = false;
+    Soc soc = generate_soc(gen, rng);
+    for (std::size_t i = 0; i < soc.num_cores(); ++i) {
+      if (rng.bernoulli(0.35)) {
+        soc.mutable_core(i).num_bidirs = static_cast<int>(rng.uniform_int(1, 120));
+      }
+    }
+    socs.push_back(std::move(soc));
+  }
+  return socs;
+}
+
+// The table's time-only kernel against the full wrapper designer: every
+// envelope cell is the running minimum of wrapper_test_time over the
+// designs design_wrapper produces, for each partition heuristic.
+TEST(TestTimeTable, KernelMatchesWrapperDesignerForEveryHeuristic) {
+  const std::vector<Soc> socs = kernel_test_socs(200);
+  Rng rng(0x5eed);
+  for (std::size_t s = 0; s < socs.size(); ++s) {
+    const Soc& soc = socs[s];
+    const int max_width = s < 4 ? 128 : static_cast<int>(rng.uniform_int(1, 128));
+    for (const PartitionHeuristic h :
+         {PartitionHeuristic::kBestFitDecreasing, PartitionHeuristic::kLpt,
+          PartitionHeuristic::kRoundRobin}) {
+      const TestTimeTable table(soc, max_width, h);
+      for (std::size_t i = 0; i < soc.num_cores(); ++i) {
+        Cycles envelope = 0;
+        for (int w = 1; w <= max_width; ++w) {
+          const Cycles t = wrapper_test_time(soc.core(i), design_wrapper(soc.core(i), w, h));
+          envelope = w == 1 ? t : std::min(envelope, t);
+          ASSERT_EQ(table.time(i, w), envelope)
+              << "soc " << s << " core " << i << " width " << w
+              << " heuristic " << static_cast<int>(h);
+        }
+      }
+    }
+  }
+}
+
+TEST(TestTimeTable, CellsDoNotDependOnMaxWidth) {
+  const std::vector<Soc> socs = kernel_test_socs(20);
+  for (std::size_t s = 0; s < socs.size(); ++s) {
+    const Soc& soc = socs[s];
+    const TestTimeTable wide(soc, 96);
+    for (int top = 1; top <= 96; ++top) {
+      const TestTimeTable narrow(soc, top);
+      for (std::size_t i = 0; i < soc.num_cores(); ++i) {
+        for (int w = 1; w <= top; ++w) {
+          ASSERT_EQ(wide.time(i, w), narrow.time(i, w))
+              << "soc " << s << " core " << i << " width " << w << " of " << top;
+        }
+      }
+    }
+  }
 }
 
 }  // namespace
