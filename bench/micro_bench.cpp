@@ -1,5 +1,6 @@
 // Google-benchmark microbenchmarks for the hot kernels: wrapper design,
-// test-time table construction, maze routing, simplex, and the TAM solvers.
+// test-time table construction, maze routing, simplex, the TAM solvers and
+// the greedy width search.
 // Results default to machine-readable JSON in BENCH_micro.json (pass your
 // own --benchmark_out=... to override).
 
@@ -18,6 +19,7 @@
 #include "tam/portfolio.hpp"
 #include "tam/search_core.hpp"
 #include "tam/staircase.hpp"
+#include "tam/width_partition.hpp"
 #include "wrapper/test_time_table.hpp"
 
 namespace soctest {
@@ -162,6 +164,33 @@ void BM_GreedyLpt(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_GreedyLpt)->Arg(8)->Arg(16)->Arg(32);
+
+// Greedy width search over every partition of W wires into B buses: one
+// staircase, one problem re-targeted per partition, greedy-LPT per
+// partition. Args: cores, buses, total width. Items/second counts
+// partitions tried.
+void BM_WidthSearchGreedy(benchmark::State& state) {
+  const int n = static_cast<int>(state.range(0));
+  const int buses = static_cast<int>(state.range(1));
+  const int width = static_cast<int>(state.range(2));
+  Rng rng(static_cast<std::uint64_t>(n) * 7919);
+  SocGeneratorOptions gen;
+  gen.num_cores = n;
+  gen.place = false;
+  const Soc soc = generate_soc(gen, rng);
+  const TestTimeTable table(soc, width);
+  WidthPartitionOptions options;
+  options.solver = InnerSolver::kGreedy;
+  long long partitions = 0;
+  for (auto _ : state) {
+    const ArchitectureResult r =
+        optimize_widths(soc, table, buses, width, nullptr, -1, -1.0, options);
+    benchmark::DoNotOptimize(r.assignment.makespan);
+    partitions += r.partitions_tried;
+  }
+  state.SetItemsProcessed(partitions);
+}
+BENCHMARK(BM_WidthSearchGreedy)->Args({24, 3, 32})->Args({100, 2, 64});
 
 void BM_IlpSolver(benchmark::State& state) {
   const TamProblem problem = sized_problem(static_cast<int>(state.range(0)));

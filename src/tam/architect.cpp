@@ -108,8 +108,11 @@ DesignResult design_architecture(const Soc& soc, const DesignRequest& request) {
     layout.emplace(*plan, soc.num_cores(), request.d_max);
   }
 
+  // A width search reads its table at total_width, the width the pack race
+  // and report_time_table read too, so one memo entry serves all three
+  // (optimize_widths cuts its staircase at the widest bus it can use).
   const int max_width = request.bus_widths.empty()
-                            ? request.total_width - (num_buses - 1)
+                            ? request.total_width
                             : *std::max_element(request.bus_widths.begin(),
                                                 request.bus_widths.end());
   const TestTimeTable& table = cached_test_time_table(soc, std::max(1, max_width));
@@ -146,11 +149,8 @@ DesignResult design_architecture(const Soc& soc, const DesignRequest& request) {
     ArchitectureResult arch;
     bool pack_won = false;
     if (race_pack) {
-      const TestTimeTable& pack_table =
-          cached_test_time_table(soc, request.total_width);
-      const PackProblem pack_problem =
-          make_pack_problem(soc, pack_table, request.total_width,
-                            request.p_max_mw);
+      const PackProblem pack_problem = make_pack_problem(
+          soc, table, request.total_width, request.p_max_mw);
       PackSolverOptions pack_options;
       pack_options.cancel = request.cancel;
       pack_options.deadline = request.deadline;

@@ -7,11 +7,16 @@
 namespace soctest {
 
 /// Longest-processing-time-first list scheduling, constraint-aware:
-/// co-assignment groups are contracted, items sorted by decreasing minimum
-/// test time, each placed on the allowed bus minimizing the resulting load
-/// (ties: lower wiring cost). The wiring budget is respected greedily; when
-/// no bus fits within the remaining budget the cheapest-wire bus is taken
-/// and the result may be infeasible (feasible = false).
+/// co-assignment groups are contracted into items (an item's time and wire
+/// cost on a bus are its members' sums; the bus is allowed only if every
+/// member may use it), items are taken by decreasing minimum time over their
+/// allowed buses (equal minima in unspecified order), and each goes to the
+/// allowed bus that, in order: keeps the remaining wiring budget, the
+/// bus-max-sum power budget and the ATE depth limit; gives the smaller
+/// resulting load; has the lower wire cost; has the lower index. Budgets
+/// are kept greedily: when no allowed bus keeps them all, the best bus
+/// that breaks one is taken and the result is infeasible (feasible =
+/// false), as it is when an item has no allowed bus.
 TamSolveResult solve_greedy_lpt(const TamProblem& problem);
 
 struct SaSolverOptions {

@@ -55,6 +55,7 @@ std::vector<std::pair<std::size_t, std::size_t>> power_conflict_pairs(
 
 std::vector<std::vector<std::size_t>> power_co_groups(const Soc& soc,
                                                       double p_max_mw) {
+  if (p_max_mw < 0) return {};  // no budget, no conflicts: skip the grouping
   UnionFind uf(soc.num_cores());
   for (const auto& [i, k] : power_conflict_pairs(soc, p_max_mw)) uf.unite(i, k);
   return uf.groups(2);

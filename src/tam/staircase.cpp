@@ -1,11 +1,14 @@
 #include "tam/staircase.hpp"
 
+#include <algorithm>
+
 #include "obs/obs.hpp"
 
 namespace soctest {
 
-Staircase::Staircase(const TestTimeTable& table)
-    : max_width_(table.max_width()), num_cores_(table.num_cores()) {
+Staircase::Staircase(const TestTimeTable& table, int max_width)
+    : max_width_(std::min(max_width, table.max_width())),
+      num_cores_(table.num_cores()) {
   if (max_width_ < 1 || num_cores_ == 0) {
     // Degenerate tables still get one addressable row of zeros so row()
     // never dereferences an empty buffer.

@@ -27,7 +27,11 @@ namespace soctest {
 /// bus can always leave wires unused).
 class Staircase {
  public:
-  explicit Staircase(const TestTimeTable& table);
+  explicit Staircase(const TestTimeTable& table)
+      : Staircase(table, table.max_width()) {}
+  /// Copies only widths 1..min(max_width, table.max_width()): a search that
+  /// never asks for a wider bus need not flatten the rest of the table.
+  Staircase(const TestTimeTable& table, int max_width);
 
   int max_width() const { return max_width_; }
   std::size_t num_cores() const { return num_cores_; }

@@ -6,6 +6,7 @@
 #include <stdexcept>
 
 #include "tam/power.hpp"
+#include "tam/staircase.hpp"
 
 namespace soctest {
 
@@ -139,6 +140,53 @@ Cycles TamProblem::lower_bound() const {
   return std::max(max_min, (sum_min + b - 1) / b);
 }
 
+namespace {
+
+/// Throws std::invalid_argument unless every width can be read from a time
+/// source of `max_width` widths over `source_cores` cores.
+void check_time_source(const std::vector<int>& widths, int max_width,
+                       std::size_t source_cores, std::size_t num_cores) {
+  for (int w : widths) {
+    if (w < 1 || w > max_width) {
+      throw std::invalid_argument("bus width outside test time table range");
+    }
+  }
+  if (source_cores != num_cores) {
+    throw std::invalid_argument("test time table core count mismatch");
+  }
+}
+
+/// The width-dependent part of a problem, shared by make_tam_problem and
+/// set_bus_widths: bus_widths, time[i][j] = time_at(i, widths[j]), and the
+/// ATE depth check.
+template <class TimeAt>
+void set_widths(TamProblem& problem, const Soc& soc,
+                const std::vector<int>& widths, TimeAt time_at) {
+  problem.bus_widths.assign(widths.begin(), widths.end());
+  const std::size_t n = problem.num_cores();
+  const std::size_t b = widths.size();
+  for (std::size_t i = 0; i < n; ++i) {
+    Cycles* row = problem.time[i].data();
+    for (std::size_t j = 0; j < b; ++j) row[j] = time_at(i, widths[j]);
+  }
+  if (problem.bus_depth_limit < 0) return;
+  for (std::size_t i = 0; i < n; ++i) {
+    Cycles best = -1;
+    for (std::size_t j = 0; j < b; ++j) {
+      if (problem.allowed[i][j] && (best < 0 || problem.time[i][j] < best)) {
+        best = problem.time[i][j];
+      }
+    }
+    if (best > problem.bus_depth_limit) {
+      throw std::runtime_error(
+          "core " + soc.core(i).name +
+          " does not fit the ATE depth limit on any allowed bus");
+    }
+  }
+}
+
+}  // namespace
+
 TamProblem make_tam_problem(const Soc& soc, const TestTimeTable& table,
                             std::vector<int> bus_widths,
                             const LayoutConstraints* layout,
@@ -146,14 +194,8 @@ TamProblem make_tam_problem(const Soc& soc, const TestTimeTable& table,
                             PowerConstraintMode power_mode,
                             Cycles bus_depth_limit) {
   if (bus_widths.empty()) throw std::invalid_argument("no bus widths given");
-  for (int w : bus_widths) {
-    if (w < 1 || w > table.max_width()) {
-      throw std::invalid_argument("bus width outside test time table range");
-    }
-  }
-  if (table.num_cores() != soc.num_cores()) {
-    throw std::invalid_argument("test time table core count mismatch");
-  }
+  check_time_source(bus_widths, table.max_width(), table.num_cores(),
+                    soc.num_cores());
   if (layout != nullptr) {
     if (layout->num_cores() != soc.num_cores()) {
       throw std::invalid_argument("layout constraint core count mismatch");
@@ -163,24 +205,18 @@ TamProblem make_tam_problem(const Soc& soc, const TestTimeTable& table,
     }
   }
 
+  // The width-free part first: allowed pairs and wire costs per bus index,
+  // power groups or powers, and the checks no width can change.
   TamProblem problem;
-  problem.bus_widths = std::move(bus_widths);
   const std::size_t n = soc.num_cores();
-  const std::size_t b = problem.bus_widths.size();
+  const std::size_t b = bus_widths.size();
   problem.time.assign(n, std::vector<Cycles>(b, 0));
   problem.allowed.assign(n, std::vector<char>(b, 1));
-  for (std::size_t i = 0; i < n; ++i) {
-    for (std::size_t j = 0; j < b; ++j) {
-      problem.time[i][j] = table.time(i, problem.bus_widths[j]);
-      if (layout != nullptr) {
-        problem.allowed[i][j] = layout->allowed(i, j) ? 1 : 0;
-      }
-    }
-  }
   if (layout != nullptr) {
     problem.wire_cost.assign(n, std::vector<long long>(b, 0));
     for (std::size_t i = 0; i < n; ++i) {
       for (std::size_t j = 0; j < b; ++j) {
+        problem.allowed[i][j] = layout->allowed(i, j) ? 1 : 0;
         const int d = layout->distance(i, j);
         problem.wire_cost[i][j] = d < 0 ? 0 : d;  // forbidden pairs never chosen
       }
@@ -219,25 +255,23 @@ TamProblem make_tam_problem(const Soc& soc, const TestTimeTable& table,
   }
 
   problem.bus_depth_limit = bus_depth_limit;
-  if (bus_depth_limit >= 0) {
-    for (std::size_t i = 0; i < n; ++i) {
-      Cycles best = -1;
-      for (std::size_t j = 0; j < b; ++j) {
-        if (problem.allowed[i][j] && (best < 0 || problem.time[i][j] < best)) {
-          best = problem.time[i][j];
-        }
-      }
-      if (best > bus_depth_limit) {
-        throw std::runtime_error(
-            "core " + soc.core(i).name +
-            " does not fit the ATE depth limit on any allowed bus");
-      }
-    }
-  }
+  set_widths(problem, soc, bus_widths,
+             [&](std::size_t i, int w) { return table.time(i, w); });
 
   const std::string err = problem.validate();
   if (!err.empty()) throw std::logic_error("built invalid TamProblem: " + err);
   return problem;
+}
+
+void set_bus_widths(TamProblem& problem, const Soc& soc,
+                    const std::vector<int>& widths, const Staircase& stairs) {
+  if (widths.size() != problem.num_buses()) {
+    throw std::invalid_argument("bus count mismatch on re-target");
+  }
+  check_time_source(widths, stairs.max_width(), stairs.num_cores(),
+                    problem.num_cores());
+  set_widths(problem, soc, widths,
+             [&](std::size_t i, int w) { return stairs.at(i, w); });
 }
 
 }  // namespace soctest

@@ -87,6 +87,8 @@ enum class PowerConstraintMode {
   kBusMaxSum,
 };
 
+class Staircase;
+
 /// Assembles a TamProblem from a SOC, bus widths, and the optional physical
 /// constraints of the paper:
 ///  * `table` supplies time[i][j] = table.time(i, bus_widths[j]);
@@ -105,5 +107,18 @@ TamProblem make_tam_problem(
     double p_max_mw = -1.0,
     PowerConstraintMode power_mode = PowerConstraintMode::kPairwiseSerialization,
     Cycles bus_depth_limit = -1);
+
+/// Re-targets a problem built by make_tam_problem to other bus widths of the
+/// same SOC: rewrites only bus_widths and time[i][j] = stairs.at(i,
+/// widths[j]), then re-runs the one width-dependent check, the ATE depth
+/// limit. Layout rows, power groups and wire costs stay; a width search
+/// builds one problem and re-targets it per partition.
+///
+/// Throws std::invalid_argument when the bus count differs or a width lies
+/// outside [1, stairs.max_width()], and std::runtime_error when some core
+/// fits the ATE depth limit on no allowed bus (the problem is then
+/// half-written and must be re-targeted before use).
+void set_bus_widths(TamProblem& problem, const Soc& soc,
+                    const std::vector<int>& widths, const Staircase& stairs);
 
 }  // namespace soctest

@@ -1,8 +1,10 @@
 #include "tam/width_partition.hpp"
 
 #include <algorithm>
+#include <optional>
 #include <stdexcept>
 
+#include "obs/obs.hpp"
 #include "tam/heuristics.hpp"
 #include "tam/ilp_solver.hpp"
 #include "tam/portfolio.hpp"
@@ -91,15 +93,10 @@ TamSolveResult run_inner(const TamProblem& problem,
 }
 
 /// Global lower bound for the whole width search: every core could at best
-/// run at the widest bus any partition can offer (total - (buses-1) wires),
+/// run at the widest bus any partition can offer (`stairs` is cut there),
 /// and B buses cannot beat the average of that relaxed workload.
-Cycles width_search_lower_bound(const TestTimeTable& table, int num_buses,
-                                int total_width) {
-  const int w_max =
-      std::min(table.max_width(), total_width - (num_buses - 1));
-  if (w_max < 1) return 0;
-  const Staircase stairs(table);
-  const Staircase::RowStats stats = stairs.row_stats(w_max);
+Cycles width_search_lower_bound(const Staircase& stairs, int num_buses) {
+  const Staircase::RowStats stats = stairs.row_stats(stairs.max_width());
   const auto b = static_cast<Cycles>(num_buses);
   return std::max(stats.max_single, (stats.total + b - 1) / b);
 }
@@ -125,11 +122,14 @@ ArchitectureResult optimize_widths(const Soc& soc, const TestTimeTable& table,
   }
   ArchitectureResult best;
   best.proved_optimal = true;
+  // One staircase per search, cut at the widest bus any partition can have
+  // (total - (buses-1) wires): it supplies the global bound and the time
+  // rows of every partition.
+  const Staircase stairs(table, total_width - (num_buses - 1));
   // The width-relaxed global bound is cheap and fixed for the whole
   // search, so it doubles as the per-incumbent gap reference streamed to
   // progress callbacks.
-  const Cycles global_lb =
-      width_search_lower_bound(table, num_buses, total_width);
+  const Cycles global_lb = width_search_lower_bound(stairs, num_buses);
   const auto report_progress = [&] {
     if (!options.progress) return;
     SolveProgress snapshot;
@@ -146,6 +146,11 @@ ArchitectureResult optimize_widths(const Soc& soc, const TestTimeTable& table,
   const bool anytime =
       options.deadline.finite() || options.cancel != nullptr;
   bool stopped = false;
+  // One problem per search: the first partition builds it with every
+  // width-free check of make_tam_problem; every partition then re-targets
+  // its widths and time columns and runs the ATE depth check.
+  std::optional<TamProblem> problem;
+  long long pruned = 0;
 
   for (const auto& partition : width_partitions(total_width, num_buses)) {
     if (stopped) break;
@@ -162,23 +167,30 @@ ArchitectureResult optimize_widths(const Soc& soc, const TestTimeTable& table,
         break;
       }
       ++best.partitions_tried;
-      TamProblem problem;
       try {
-        problem = make_tam_problem(soc, table, widths, layout, wire_budget,
-                                   p_max_mw, options.power_mode,
-                                   options.bus_depth_limit);
+        if (!problem) {
+          // Built without the depth limit, so a partition that fails only
+          // the depth check still leaves the problem for the next one.
+          problem = make_tam_problem(soc, table, widths, layout, wire_budget,
+                                     p_max_mw, options.power_mode);
+          problem->bus_depth_limit = options.bus_depth_limit;
+        }
+        set_bus_widths(*problem, soc, widths, stairs);
       } catch (const std::runtime_error&) {
         // This width vector cannot host some core under the ATE depth limit
         // (narrow buses inflate test times); other partitions may still fit.
+        // A layout or power infeasibility leaves no problem built, so every
+        // partition hits it again and is skipped too.
         if (options.bus_depth_limit < 0) throw;
         continue;
       }
       // Skip width vectors that provably cannot beat the incumbent.
-      if (best.feasible && problem.lower_bound() >= best.assignment.makespan) {
+      if (best.feasible && problem->lower_bound() >= best.assignment.makespan) {
+        ++pruned;
         continue;
       }
       const Cycles incumbent = best.feasible ? best.assignment.makespan : -1;
-      TamSolveResult result = run_inner(problem, options, incumbent);
+      TamSolveResult result = run_inner(*problem, options, incumbent);
       best.total_nodes += result.nodes;
       if (!result.proved_optimal) best.proved_optimal = false;
       if (result.stop != StopReason::kNone && best.stop == StopReason::kNone) {
@@ -190,7 +202,7 @@ ArchitectureResult optimize_widths(const Soc& soc, const TestTimeTable& table,
       if (anytime && !result.feasible &&
           result.stop != StopReason::kNone &&
           options.solver != InnerSolver::kGreedy) {
-        TamSolveResult fallback = solve_greedy_lpt(problem);
+        TamSolveResult fallback = solve_greedy_lpt(*problem);
         if (fallback.feasible) {
           fallback.stop = result.stop;
           fallback.proved_optimal = false;
@@ -219,10 +231,10 @@ ArchitectureResult optimize_widths(const Soc& soc, const TestTimeTable& table,
                             total_width / num_buses);
     for (int r = 0; r < total_width % num_buses; ++r) ++widths[static_cast<std::size_t>(r)];
     try {
-      const TamProblem problem =
+      const TamProblem balanced =
           make_tam_problem(soc, table, widths, layout, wire_budget, p_max_mw,
                            options.power_mode, options.bus_depth_limit);
-      const TamSolveResult fallback = solve_greedy_lpt(problem);
+      const TamSolveResult fallback = solve_greedy_lpt(balanced);
       if (fallback.feasible) {
         best.feasible = true;
         best.proved_optimal = false;
@@ -235,6 +247,11 @@ ArchitectureResult optimize_widths(const Soc& soc, const TestTimeTable& table,
       // The balanced split cannot host some core under the constraints;
       // the run stays infeasible-with-stop-reason.
     }
+  }
+
+  if (obs::enabled()) {
+    obs::counter("tam.width_search.partitions").add(best.partitions_tried);
+    obs::counter("tam.width_search.pruned").add(pruned);
   }
 
   // Certificate: gap against the width-relaxed global lower bound.

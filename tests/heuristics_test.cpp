@@ -1,5 +1,11 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <limits>
+#include <optional>
+#include <set>
+#include <tuple>
+
 #include "soc/builtin.hpp"
 #include "tam/exact_solver.hpp"
 #include "tam/heuristics.hpp"
@@ -68,6 +74,151 @@ TEST(GreedyLpt, UnassignableCoreReportedInfeasible) {
   p.time = {{10, 10}};
   p.allowed = {{0, 0}};
   EXPECT_FALSE(solve_greedy_lpt(p).feasible);
+}
+
+/// Greedy-LPT written directly from the rule in tam/heuristics.hpp, one
+/// vector per item: the reference the flat implementation must match.
+/// Returns nullopt when two items share a sort key, since the rule leaves
+/// their order unspecified.
+std::optional<TamSolveResult> naive_lpt(const TamProblem& p) {
+  constexpr Cycles kInf = std::numeric_limits<Cycles>::max();
+  const std::size_t n = p.num_cores();
+  const std::size_t b = p.num_buses();
+  struct NaiveItem {
+    std::vector<std::size_t> cores;
+    std::vector<Cycles> time;
+    std::vector<long long> wire;
+    Cycles min_time = kInf;
+    double power = 0.0;
+  };
+  std::vector<NaiveItem> items;
+  std::vector<char> grouped(n, 0);
+  for (const auto& group : p.co_groups) {
+    items.push_back({group, {}, {}, kInf, 0.0});
+    for (std::size_t core : group) grouped[core] = 1;
+  }
+  for (std::size_t i = 0; i < n; ++i) {
+    if (!grouped[i]) items.push_back({{i}, {}, {}, kInf, 0.0});
+  }
+  std::set<Cycles> keys;
+  for (NaiveItem& item : items) {
+    item.time.assign(b, 0);
+    item.wire.assign(b, 0);
+    for (std::size_t j = 0; j < b; ++j) {
+      bool allowed = true;
+      for (std::size_t core : item.cores) {
+        allowed = allowed && p.allowed[core][j];
+        item.time[j] += p.time[core][j];
+        if (!p.wire_cost.empty()) item.wire[j] += p.wire_cost[core][j];
+      }
+      if (!allowed) {
+        item.time[j] = kInf;
+      } else {
+        item.min_time = std::min(item.min_time, item.time[j]);
+      }
+    }
+    for (std::size_t core : item.cores) {
+      if (!p.core_power_mw.empty()) item.power = std::max(item.power, p.core_power_mw[core]);
+    }
+    if (!keys.insert(item.min_time).second) return std::nullopt;
+  }
+  std::sort(items.begin(), items.end(), [](const NaiveItem& a, const NaiveItem& c) {
+    return a.min_time > c.min_time;
+  });
+
+  TamSolveResult result;
+  result.assignment.core_to_bus.assign(n, -1);
+  std::vector<Cycles> load(b, 0);
+  std::vector<double> bus_max(b, 0.0);
+  double power_sum = 0.0;
+  long long wire_used = 0;
+  for (std::size_t k = 0; k < items.size(); ++k) {
+    const NaiveItem& item = items[k];
+    const auto added_power = [&](std::size_t j) {
+      return std::max(bus_max[j], item.power) - bus_max[j];
+    };
+    const auto keeps_budgets = [&](std::size_t j) {
+      return (p.wire_budget < 0 || wire_used + item.wire[j] <= p.wire_budget) &&
+             (p.bus_power_budget < 0 ||
+              power_sum + added_power(j) <= p.bus_power_budget + 1e-9) &&
+             (p.bus_depth_limit < 0 || load[j] + item.time[j] <= p.bus_depth_limit);
+    };
+    // Rank: keeps every budget, then smaller load, then less wire; the
+    // strict comparison leaves ties on the lower index.
+    const auto rank = [&](std::size_t j) {
+      return std::make_tuple(!keeps_budgets(j), load[j] + item.time[j], item.wire[j]);
+    };
+    int best = -1;
+    for (std::size_t j = 0; j < b; ++j) {
+      if (item.time[j] == kInf) continue;
+      if (best < 0 || rank(j) < rank(static_cast<std::size_t>(best))) {
+        best = static_cast<int>(j);
+      }
+    }
+    if (best < 0) {
+      result.nodes = static_cast<long long>(k);
+      return result;
+    }
+    const auto j = static_cast<std::size_t>(best);
+    for (std::size_t core : item.cores) result.assignment.core_to_bus[core] = best;
+    power_sum += added_power(j);
+    bus_max[j] = std::max(bus_max[j], item.power);
+    load[j] += item.time[j];
+    wire_used += item.wire[j];
+  }
+  result.nodes = static_cast<long long>(items.size());
+  result.assignment.makespan = p.makespan(result.assignment.core_to_bus);
+  result.feasible = p.check_assignment(result.assignment.core_to_bus).empty();
+  return result;
+}
+
+TEST(GreedyLpt, MatchesNaiveReferenceOnFuzzedProblems) {
+  Rng rng(2024);
+  int compared = 0;
+  int infeasible = 0;
+  for (int trial = 0; compared < 250; ++trial) {
+    ASSERT_LT(trial, 2000) << "too many fuzzed problems with tied sort keys";
+    testutil::RandomProblemOptions options;
+    options.num_cores = 3 + rng.index(40);
+    options.num_buses = 1 + rng.index(4);
+    options.min_time = 10;
+    options.max_time = 1000000;
+    options.forbid_probability = rng.uniform(0.0, 0.35);
+    options.num_co_pairs = static_cast<int>(rng.index(5));
+    options.with_wire_budget = rng.bernoulli(0.5);
+    options.with_bus_power = rng.bernoulli(0.5);
+    // Identical bus columns make loads tie, so the wire and index
+    // tie-breaks decide; the wire costs are then redrawn per bus.
+    options.identical_buses = rng.bernoulli(0.3);
+    TamProblem p = testutil::random_problem(rng, options);
+    if (options.identical_buses && options.with_wire_budget) {
+      for (auto& row : p.wire_cost) {
+        for (long long& cost : row) cost = rng.uniform_int(0, 4);
+      }
+    }
+    if (rng.bernoulli(0.4)) {
+      Cycles total = 0;
+      for (const auto& row : p.time) total += *std::min_element(row.begin(), row.end());
+      const auto buses = static_cast<double>(p.num_buses());
+      p.bus_depth_limit =
+          static_cast<Cycles>(static_cast<double>(total) / buses * rng.uniform(0.9, 1.6));
+    }
+    const auto expected = naive_lpt(p);
+    if (!expected) continue;
+    ++compared;
+    const TamSolveResult got = solve_greedy_lpt(p);
+    SCOPED_TRACE("trial " + std::to_string(trial));
+    EXPECT_EQ(got.assignment.core_to_bus, expected->assignment.core_to_bus);
+    EXPECT_EQ(got.assignment.makespan, expected->assignment.makespan);
+    EXPECT_EQ(got.feasible, expected->feasible);
+    EXPECT_EQ(got.nodes, expected->nodes);
+    EXPECT_FALSE(got.proved_optimal);
+    if (!got.feasible) ++infeasible;
+  }
+  // The budgets must bite on some problems for the comparison to cover
+  // the infeasible branch.
+  EXPECT_GT(infeasible, 10);
+  EXPECT_LT(infeasible, compared - 10);
 }
 
 class HeuristicQuality : public ::testing::TestWithParam<std::uint64_t> {};

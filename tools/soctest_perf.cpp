@@ -653,12 +653,17 @@ struct GateCase {
   std::function<void()> run;
 };
 
-TamProblem gate_problem(int n, std::vector<int> widths) {
+/// The unplaced n-core SOC every generated gate case draws from seed n*7919.
+Soc gate_soc(int n) {
   Rng rng(static_cast<std::uint64_t>(n) * 7919);
   SocGeneratorOptions gen;
   gen.num_cores = n;
   gen.place = false;
-  const Soc soc = generate_soc(gen, rng);
+  return generate_soc(gen, rng);
+}
+
+TamProblem gate_problem(int n, std::vector<int> widths) {
+  const Soc soc = gate_soc(n);
   const TestTimeTable& table = cached_test_time_table(
       soc, *std::max_element(widths.begin(), widths.end()));
   return make_tam_problem(soc, table, widths);
@@ -705,11 +710,7 @@ std::vector<GateCase> gate_suite() {
                    {"pack.skyline.placed", "pack.skyline.raised",
                     "pack.sa.moves", "pack.sa.accepted"},
                    [] {
-                     Rng rng(20 * 7919);
-                     SocGeneratorOptions gen;
-                     gen.num_cores = 20;
-                     gen.place = false;
-                     const Soc soc = generate_soc(gen, rng);
+                     const Soc soc = gate_soc(20);
                      const PackProblem problem = make_pack_problem(
                          soc, cached_test_time_table(soc, 24), 24);
                      solve_pack(problem);
@@ -725,6 +726,19 @@ std::vector<GateCase> gate_suite() {
                      request.total_width = 24;
                      request.solver = InnerSolver::kExact;
                      design_architecture(builtin_soc1(), request);
+                   }});
+  // A greedy width search over the 32 partitions of 64 wires into 2 buses
+  // of a 100-core SOC: one staircase and one re-targeted problem per
+  // search, greedy-LPT per partition.
+  suite.push_back({"width_search_greedy_n100",
+                   {"tam.greedy.solves", "tam.width_search.partitions",
+                    "tam.width_search.pruned"},
+                   [] {
+                     const Soc soc = gate_soc(100);
+                     WidthPartitionOptions options;
+                     options.solver = InnerSolver::kGreedy;
+                     optimize_widths(soc, cached_test_time_table(soc, 64), 2,
+                                     64, nullptr, -1, -1.0, options);
                    }});
   return suite;
 }
