@@ -243,6 +243,9 @@ bool try_reap(pid_t pid, int* exit_status) {
 
 int terminate_and_wait(pid_t pid) {
   ::kill(pid, SIGTERM);
+  // A stopped process holds SIGTERM pending until it runs again; without
+  // SIGCONT a SIGSTOPped worker would block the waitpid below for ever.
+  ::kill(pid, SIGCONT);
   int status = 0;
   while (::waitpid(pid, &status, 0) < 0 && errno == EINTR) {
   }

@@ -65,8 +65,8 @@ StatusOr<pid_t> spawn_process(const std::vector<std::string>& argv);
 /// the raw waitpid status), false while it is still running.
 bool try_reap(pid_t pid, int* exit_status);
 
-/// SIGTERM + blocking waitpid, the graceful-drain shutdown for a spawned
-/// worker.
+/// SIGTERM + SIGCONT + blocking waitpid, the graceful-drain shutdown for a
+/// spawned worker (SIGCONT so a stopped worker wakes up to drain).
 int terminate_and_wait(pid_t pid);
 
 }  // namespace soctest::net

@@ -151,8 +151,10 @@ TEST(FrontDoorFaults, WorkerCrashRestartsAndRetriesWithoutLosingTheJob) {
 
   // A solve that reliably occupies its worker long enough to be killed
   // mid-flight (deadline-stopped after ~2 s; no_cache keeps it a miss).
+  // Six buses: soc4 at four buses is solved to optimality in ~0.2 s, which
+  // can finish before the kill below.
   const std::vector<std::string> lines = {
-      req("\"id\":\"crash\",\"soc\":\"soc4\",\"buses\":4,\"width\":64,"
+      req("\"id\":\"crash\",\"soc\":\"soc4\",\"buses\":6,\"width\":64,"
           "\"time_limit_ms\":2000,\"no_cache\":true")};
 
   StatusOr<std::vector<std::string>> responses =
@@ -265,8 +267,10 @@ TEST(FrontDoorFaults, HungWorkerIsDetectedKilledAndItsJobRetried) {
   config.heartbeat_timeout_ms = 600.0;
   RunningDoor running(config);
 
+  // Deadline-stopped after ~2 s, like the crash test's request, so the
+  // worker is still busy with it when it is stopped.
   const std::vector<std::string> lines = {
-      req("\"id\":\"hung\",\"soc\":\"soc4\",\"buses\":4,\"width\":64,"
+      req("\"id\":\"hung\",\"soc\":\"soc4\",\"buses\":6,\"width\":64,"
           "\"time_limit_ms\":2000,\"no_cache\":true")};
 
   StatusOr<std::vector<std::string>> responses =
